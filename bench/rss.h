@@ -1,12 +1,12 @@
-// Peak-RSS probing for the bench harness (Linux).
+// Peak-RSS probing for the bench harness.
 //
-// ru_maxrss is a process-lifetime high-water mark, so a naive read after a
-// benchmark reports the peak of EVERYTHING that ran before it. Linux lets
-// us re-arm the mark by writing "5" to /proc/self/clear_refs; each probe
-// window is then reset_peak_rss() -> run -> peak_rss_bytes(). When the
-// reset file is unavailable (non-Linux, locked-down container) the reset
-// is a no-op and readings degrade to the monotone high-water mark — still
-// an upper bound, never an undercount.
+// A probe window is reset_peak_rss() -> run -> peak_rss_bytes(). On Linux
+// the peak is VmHWM from /proc/self/status, which writing "5" to
+// /proc/self/clear_refs re-arms to the current RSS. getrusage's ru_maxrss
+// is not re-armed by that write and never drops below the high-water mark
+// of the image the process was exec'd from, so it is only the fallback
+// (non-Linux, or no /proc): a monotone process-lifetime mark — still an
+// upper bound, never an undercount.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,20 @@
 
 namespace dgr::bench {
 
-/// Current peak resident set size in bytes (0 where unsupported).
+/// Peak resident set size in bytes since the last successful
+/// reset_peak_rss() (0 where unsupported).
 inline std::size_t peak_rss_bytes() {
+#if defined(__linux__)
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long long kib = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, f) != nullptr)
+      found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+    std::fclose(f);
+    if (found) return static_cast<std::size_t>(kib) * 1024;
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;

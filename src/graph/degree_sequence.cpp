@@ -13,8 +13,9 @@ std::uint64_t degree_sum(const DegreeSequence& d) {
 bool handshake_ok(const DegreeSequence& d) {
   const std::uint64_t n = d.size();
   if (degree_sum(d) % 2 != 0) return false;
+  // di < n, not di + 1 <= n: the latter wraps at UINT64_MAX.
   return std::all_of(d.begin(), d.end(),
-                     [n](std::uint64_t di) { return di + 1 <= n; });
+                     [n](std::uint64_t di) { return di < n; });
 }
 
 bool erdos_gallai_graphic(DegreeSequence d) {

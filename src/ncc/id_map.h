@@ -7,16 +7,11 @@
 //     false, and any future contiguous assignment), find() is a subtraction;
 //   - hashed: otherwise an open-addressing table with linear probing and a
 //     Fibonacci multiply-shift hash, sized to a power of two at load factor
-//     <= 0.5. Entries are 8 bytes — a truncated 32-bit key tag plus the
-//     slot — so the whole table is half the size of a (u64 key, slot)
-//     layout and stays cache-resident far longer; a tag match is verified
-//     against the authoritative slot -> ID array (a dense, slot-indexed
-//     lookup) before it is trusted, which also disambiguates genuine
-//     32-bit tag collisions.
-// The table is built once at Network construction and never mutated. find()
-// sits on the engine's innermost loop (every send resolves its destination
-// and every forwarded-ID check resolves the ID), so its footprint is the
-// datapath's footprint.
+//     <= 1/4. Each 16-byte entry holds the full 64-bit NodeId next to its
+//     slot, so a hit is one compare — no confirming load from the slot -> ID
+//     array — and IDs that share their low bits can never be confused. The
+//     low load factor keeps probe chains to about one entry.
+// The table is built once at Network construction and never mutated.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +25,7 @@ namespace dgr::ncc {
 class IdMap {
  public:
   /// (Re)build from the slot -> ID table. IDs must be unique and non-zero.
-  /// `ids` must stay alive and unchanged for the lifetime of the map (the
-  /// Network owns both and never mutates the ID assignment).
   void build(const std::vector<NodeId>& ids) {
-    ids_ = &ids;
     n_ = ids.size();
     dense_ = true;
     for (std::size_t s = 0; s < n_; ++s) {
@@ -49,43 +41,40 @@ class IdMap {
     }
     std::size_t cap = 16;
     shift_ = 60;
-    while (cap < 2 * n_) {
+    while (cap < 4 * n_) {
       cap <<= 1;
       --shift_;
     }
-    table_.assign(cap, Entry{0, kNoSlot});
+    table_.assign(cap, Entry{kNoNode, kNoSlot});
     const std::size_t mask = cap - 1;
     for (std::size_t s = 0; s < n_; ++s) {
       std::size_t h = probe_start(ids[s]);
-      while (table_[h].slot != kNoSlot) h = (h + 1) & mask;
-      table_[h] = {static_cast<std::uint32_t>(ids[s]), static_cast<Slot>(s)};
+      while (table_[h].id != kNoNode) h = (h + 1) & mask;
+      table_[h] = {ids[s], static_cast<Slot>(s)};
     }
   }
 
-  /// Slot holding `id`, or kNoSlot when no node has that ID.
+  /// Slot holding `id`, or kNoSlot when no node has that ID (kNoNode
+  /// included: it wraps past n in the dense layout, and in the hashed one
+  /// it matches the first empty entry, whose slot is kNoSlot).
   Slot find(NodeId id) const {
-    if (id == kNoNode) return kNoSlot;
     if (dense_) {
-      return id <= n_ ? static_cast<Slot>(id - 1) : kNoSlot;
+      const NodeId i = id - 1;
+      return i < n_ ? static_cast<Slot>(i) : kNoSlot;
     }
-    const std::vector<NodeId>& ids = *ids_;
-    const std::uint32_t tag = static_cast<std::uint32_t>(id);
     const std::size_t mask = table_.size() - 1;
     std::size_t h = probe_start(id);
-    while (table_[h].slot != kNoSlot) {
-      // Tag hit: confirm against the authoritative slot -> ID array (two
-      // known IDs may share the low 32 bits; a wrong slot must not leak).
-      if (table_[h].tag == tag && ids[table_[h].slot] == id)
-        return table_[h].slot;
+    for (;;) {
+      const Entry& e = table_[h];
+      if (e.id == id || e.id == kNoNode) return e.slot;
       h = (h + 1) & mask;
     }
-    return kNoSlot;
   }
 
  private:
-  // Truncated key + slot in 8 bytes; kNoSlot marks an empty entry.
+  // kNoNode in `id` marks an empty entry (its slot is kNoSlot).
   struct Entry {
-    std::uint32_t tag;  // low 32 bits of the NodeId
+    NodeId id;
     Slot slot;
   };
 
@@ -93,10 +82,9 @@ class IdMap {
     return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
-  const std::vector<NodeId>* ids_ = nullptr;
   std::size_t n_ = 0;
   bool dense_ = true;
-  unsigned shift_ = 64;           // 64 - log2(table size)
+  unsigned shift_ = 64;  // 64 - log2(table size)
   std::vector<Entry> table_;
 };
 

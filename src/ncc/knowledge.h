@@ -35,6 +35,8 @@ class Knowledge {
     known_ = 0;
     hot_id_ = kNoNode;
     hot_slot_ = kNoSlot;
+    sent_id_ = kNoNode;
+    sent_slot_ = kNoSlot;
     tab_.assign(initial_cap(n), kEmpty);
     words_.clear();
     words_.shrink_to_fit();
@@ -146,21 +148,32 @@ class Knowledge {
   /// Number of distinct IDs known; n must be supplied for the NCC1 case.
   std::size_t size(std::size_t n) const { return all_ ? n : known_; }
 
-  /// One-entry positive cache over an (ID, slot) pair. Knowledge grows
+  /// Two-entry positive cache over (ID, slot) pairs. Knowledge grows
   /// monotonically and IDs are unique, so "this ID was once verified known
   /// / once learned, and it lives in this slot" can never go stale —
   /// callers use it to skip the NodeId -> Slot resolution plus the table
   /// probe for the common case of the same ID being re-verified round
   /// after round (a sort record forwarded through consecutive stages, a
-  /// broadcast value re-flooded). Mutable: it is a cache, updated from
-  /// const verification paths; each node's knowledge is only ever touched
-  /// by the worker that owns the slot (or by the single-threaded delivery
-  /// pass), so there is no race.
-  bool hot_id_is(NodeId id) const { return id == hot_id_; }
-  Slot hot_slot() const { return hot_slot_; }
+  /// broadcast value re-flooded). The entries have one writer each: the
+  /// delivery-side learn pass refreshes the learned entry (set_hot) with
+  /// the ID just received, and the send-side check refreshes the verified
+  /// entry (set_sent) with the ID just forwarded — so a node that kept its
+  /// own record through a compare-exchange still hits on the next stage.
+  /// Mutable: it is a cache, updated from const verification paths; each
+  /// node's knowledge is only ever touched by the worker that owns the
+  /// slot (or by the delivery pass, between rounds), so there is no race.
+  Slot cached_slot(NodeId id) const {
+    if (id == hot_id_) return hot_slot_;
+    if (id == sent_id_) return sent_slot_;
+    return kNoSlot;
+  }
   void set_hot(NodeId id, Slot s) const {
     hot_id_ = id;
     hot_slot_ = s;
+  }
+  void set_sent(NodeId id, Slot s) const {
+    sent_id_ = id;
+    sent_slot_ = s;
   }
 
  private:
@@ -195,8 +208,12 @@ class Knowledge {
   bool dense_ = false;
   std::size_t known_ = 0;
   std::size_t n_ = 0;
-  mutable NodeId hot_id_ = kNoNode;   // see hot_id_is()
+  // See cached_slot(). Empty entries hold (kNoNode, kNoSlot), so a lookup
+  // of kNoNode misses.
+  mutable NodeId hot_id_ = kNoNode;   // learned entry
   mutable Slot hot_slot_ = kNoSlot;
+  mutable NodeId sent_id_ = kNoNode;  // send-side verified entry
+  mutable Slot sent_slot_ = kNoSlot;
   std::vector<std::uint32_t> tab_;    // sparse: open-addressing slot table
   std::vector<std::uint64_t> words_;  // dense: bit s => knows slot s
 };

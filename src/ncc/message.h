@@ -5,7 +5,7 @@
 #pragma once
 
 #include <array>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "ncc/ids.h"
@@ -66,7 +66,10 @@ inline Message make_msg(std::uint32_t tag) {
 /// see InboxView in network.h). A record is `2 + size (+ trailer)` 64-bit
 /// words:
 ///   word 0 — routing: src slot | dst slot << 32
-///   word 1 — payload header: tag | size << 32 | id_mask << 40
+///   word 1 — payload header: tag | size << 32 | id_mask << 40 | len << 48,
+///            where len is the record's total word count (header + payload
+///            + trailer), stamped by the encoder so every record walk reads
+///            its stride instead of recomputing it
 ///   words 2 .. 2+size-1 — the payload words actually in use
 ///   then, on learning (non-clique) networks only, one trailer word per
 ///   id_mask bit: that payload ID's slot, resolved at send time so the
@@ -81,16 +84,20 @@ inline constexpr std::size_t kHeaderWords = 2;
 inline std::uint64_t routing_word(Slot src, Slot dst) {
   return static_cast<std::uint64_t>(src) | (static_cast<std::uint64_t>(dst) << 32);
 }
-inline std::uint64_t header_word(const Message& m) {
+/// Payload header for `m`, stamped with the record's total length `len`.
+inline std::uint64_t header_word(const Message& m, std::size_t len) {
   return static_cast<std::uint64_t>(m.tag) |
          (static_cast<std::uint64_t>(m.size) << 32) |
-         (static_cast<std::uint64_t>(m.id_mask) << 40);
+         (static_cast<std::uint64_t>(m.id_mask) << 40) |
+         (static_cast<std::uint64_t>(len) << 48);
 }
 /// Header for the one-word fast path (Ctx::send1 / send1_id): size == 1 and
 /// id_mask == (is_id ? 1 : 0), precomputed so the encoder is three stores.
-inline std::uint64_t header1_word(std::uint32_t tag, bool is_id) {
+inline std::uint64_t header1_word(std::uint32_t tag, bool is_id,
+                                  std::size_t len) {
   return static_cast<std::uint64_t>(tag) | (std::uint64_t{1} << 32) |
-         (static_cast<std::uint64_t>(is_id ? 1u : 0u) << 40);
+         (static_cast<std::uint64_t>(is_id ? 1u : 0u) << 40) |
+         (static_cast<std::uint64_t>(len) << 48);
 }
 
 inline Slot src(const std::uint64_t* rec) { return static_cast<Slot>(rec[0]); }
@@ -111,22 +118,18 @@ inline std::uint8_t size(const std::uint64_t* rec) {
 inline std::uint8_t id_mask(const std::uint64_t* rec) {
   return static_cast<std::uint8_t>(rec[1] >> 40);
 }
+/// Trailer length for an ID mask: its population count, as an 8-bit SWAR
+/// sum. std::popcount would compile to a libgcc call on baseline x86-64
+/// (no POPCNT), and the encoder sits on every send.
 inline std::size_t trailer_words(std::uint8_t id_mask) {
-  return static_cast<std::size_t>(std::popcount(static_cast<unsigned>(id_mask)));
+  unsigned x = id_mask;
+  x = x - ((x >> 1) & 0x55u);
+  x = (x & 0x33u) + ((x >> 2) & 0x33u);
+  return (x + (x >> 4)) & 0x0fu;
 }
-/// Total 64-bit words the record occupies; `trailered` says whether this
-/// network's records carry the ID-slot trailer (learning networks do,
-/// clique networks skip learning and stay trailerless).
-inline std::size_t record_words(const std::uint64_t* rec, bool trailered) {
-  const std::uint64_t h = rec[1];
-  std::size_t w = kHeaderWords + ((h >> 32) & 0xffu);
-  if (trailered)
-    w += trailer_words(static_cast<std::uint8_t>((h >> 40) & 0xffu));
-  return w;
-}
-/// The ID-word slot trailer (valid only on trailered records).
-inline const std::uint64_t* trailer(const std::uint64_t* rec) {
-  return rec + kHeaderWords + ((rec[1] >> 32) & 0xffu);
+/// Total 64-bit words the record occupies, as stamped by its encoder.
+inline std::size_t record_words(const std::uint64_t* rec) {
+  return static_cast<std::size_t>((rec[1] >> 48) & 0xffu);
 }
 
 /// Materialize a full Message from its record. Only the `size` payload

@@ -456,7 +456,6 @@ void Network::deliver() {
   std::uint64_t dropped = 0;
   const bool lossy = cfg_.drop_probability > 0.0;
   const bool fast = !lossy && crashed_n_ == 0 && !trace_;
-  const bool trailered = !is_clique();  // records carry ID-slot trailers
   // Near-dense rounds run the O(n) sequential variants of the passes below
   // (ordered-destination rebuild, zeroing): at that density streaming beats
   // list-driven scatters. Sparse rounds touch only the lists.
@@ -471,7 +470,7 @@ void Network::deliver() {
       std::uint64_t* const end = p + out.len;
       while (p < end) {
         ++sent;
-        const std::size_t rl = wire::record_words(p, trailered);
+        const std::size_t rl = wire::record_words(p);
         const Slot dst = wire::dst(p);
         // Link loss: the message silently disappears; the sender learns
         // nothing (unlike a capacity bounce). A crashed destination behaves
@@ -501,7 +500,7 @@ void Network::deliver() {
       const std::uint64_t* p = out.buf.get();
       const std::uint64_t* const end = p + out.len;
       while (p < end) {
-        const std::size_t rl = wire::record_words(p, trailered);
+        const std::size_t rl = wire::record_words(p);
         sc.dest_count[wire::dst(p)] += pack_one(rl);
         p += rl;
       }
@@ -713,7 +712,7 @@ void Network::deliver() {
         const std::uint64_t* const end = p + out.len;
         while (p < end) {
           const std::uint64_t* rec = p;
-          const std::size_t rl = wire::record_words(p, trailered);
+          const std::size_t rl = wire::record_words(p);
           p += rl;
           const Slot dst = wire::dst(rec);
           if (dst == kNoSlot) continue;
@@ -742,7 +741,7 @@ void Network::deliver() {
             it == sc.touched_dests.end() ? static_cast<Slot>(n_) : *it;
       }
       Executor::instance().parallel_for(lease_, tasks, [&](std::size_t t) {
-        place_dest_range(place_part_[t], place_part_[t + 1], trailered);
+        place_dest_range(place_part_[t], place_part_[t + 1]);
       });
     }
     for (const Slot d : sc.ovf_dests) {
@@ -772,7 +771,7 @@ void Network::deliver() {
       const std::uint64_t* const end = p + out.len;
       while (p < end) {
         const std::uint64_t* rec = p;
-        p += wire::record_words(p, trailered);
+        p += wire::record_words(p);
         const Slot dst = wire::dst(rec);
         if (dst == kNoSlot) continue;
         sc.arena[sc.dest_cursor[dst]++] = {rec, wire::src(rec)};
@@ -792,7 +791,7 @@ void Network::deliver() {
                           accept ? MessageOutcome::kDelivered
                                  : MessageOutcome::kBounced});
         if (accept) {
-          const std::size_t rl = wire::record_words(enc, trailered);
+          const std::size_t rl = wire::record_words(enc);
           std::uint64_t* q = inbox + cur;
           for (std::size_t w = 0; w < rl; ++w) q[w] = enc[w];
           cur += static_cast<std::uint32_t>(rl);
@@ -940,7 +939,7 @@ void Network::deliver() {
 // destination's inbox_cur / ovf_cursor / bounce_cursor has exactly one
 // writing task, so no synchronization is needed and per-destination
 // arrival order matches the serial walk exactly.
-void Network::place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered) {
+void Network::place_dest_range(Slot dst_lo, Slot dst_hi) {
   RoundScratch& sc = *scr_;
   std::uint64_t* const inbox = sc.inbox_words.get();
   for (const auto& out : sc.outboxes) {
@@ -948,7 +947,7 @@ void Network::place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered) {
     const std::uint64_t* const end = p + out.len;
     while (p < end) {
       const std::uint64_t* rec = p;
-      const std::size_t rl = wire::record_words(p, trailered);
+      const std::size_t rl = wire::record_words(p);
       p += rl;
       const Slot dst = wire::dst(rec);
       if (dst < dst_lo || dst >= dst_hi) continue;
@@ -999,19 +998,19 @@ void Network::learn_dest(Slot d, const std::uint64_t* inbox) {
   for (std::uint32_t i = 0; i < len; ++i) {
     k.learn_slot(wire::src(p));
     const unsigned mask = wire::id_mask(p);
-    const std::size_t nw = wire::size(p);
-    std::size_t tw = 0;
+    const std::size_t rl = wire::record_words(p);
     if (mask) {
-      const std::uint64_t* tp = p + wire::kHeaderWords + nw;
-      tw = wire::trailer_words(static_cast<std::uint8_t>(mask));
+      // The trailer is the record's tail: everything past the payload.
+      const std::size_t tw = rl - wire::kHeaderWords - wire::size(p);
+      const std::uint64_t* tp = p + rl - tw;
       k.learn_trailer(tp, tw);
-      // Refresh the (ID, slot) hot cache with the record's last ID word
-      // — the common re-verified case is "the ID I just received".
+      // Refresh the learn-side (ID, slot) cache with the record's last ID
+      // word — the common re-verified case is "the ID I just received".
       const auto last = static_cast<std::size_t>(std::bit_width(mask)) - 1;
       k.set_hot(static_cast<NodeId>(p[wire::kHeaderWords + last]),
                 static_cast<Slot>(tp[tw - 1]));
     }
-    p += wire::kHeaderWords + nw + tw;
+    p += rl;
   }
 }
 
@@ -1026,11 +1025,10 @@ std::span<const Message> Network::legacy_inbox(Slot s, OutArena& out) {
     out.legacy_inbox.clear();
     out.legacy_inbox.resize(len);
     if (len != 0) {
-      const bool trailered = !is_clique();
       const std::uint64_t* p = scr_->inbox_words.get() + scr_->inbox_lo[s];
       for (std::uint32_t i = 0; i < len; ++i) {
         wire::decode(p, ids_[wire::src(p)], out.legacy_inbox[i]);
-        p += wire::record_words(p, trailered);
+        p += wire::record_words(p);
       }
     }
   }

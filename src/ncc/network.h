@@ -152,6 +152,10 @@ class MessageRef {
     return static_cast<NodeId>(rec_[wire::kHeaderWords + i]);
   }
 
+  /// Words the wire record occupies (header + payload + ID-slot trailer),
+  /// as its sender stamped them; the inbox footprint of this message.
+  std::size_t wire_words() const { return wire::record_words(rec_); }
+
   /// Full decode into an owning Message (for code that stores or re-sends
   /// delivered messages, e.g. a forwarding queue).
   Message materialize() const {
@@ -197,7 +201,7 @@ class InboxView {
       return MessageRef(p_, ids_);
     }
     iterator& operator++() {
-      p_ += wire::record_words(p_, trailered_);
+      p_ += wire::record_words(p_);
       --left_;
       return *this;
     }
@@ -209,7 +213,6 @@ class InboxView {
     const std::uint64_t* p_ = nullptr;
     const NodeId* ids_ = nullptr;
     std::uint32_t left_ = 0;
-    bool trailered_ = false;
 #ifndef NDEBUG
     const std::uint64_t* live_gen_ = nullptr;
     std::uint64_t gen_ = 0;
@@ -224,7 +227,6 @@ class InboxView {
     it.p_ = base_;
     it.ids_ = ids_;
     it.left_ = len_;
-    it.trailered_ = trailered_;
 #ifndef NDEBUG
     it.live_gen_ = live_gen_;
     it.gen_ = gen_;
@@ -238,18 +240,17 @@ class InboxView {
   friend class Network;
 #ifndef NDEBUG
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            bool trailered, const std::uint64_t* live_gen)
-      : base_(base), len_(len), ids_(ids), trailered_(trailered),
-        live_gen_(live_gen), gen_(*live_gen) {}
+            const std::uint64_t* live_gen)
+      : base_(base), len_(len), ids_(ids), live_gen_(live_gen),
+        gen_(*live_gen) {}
 #else
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            bool trailered, const std::uint64_t* /*live_gen*/)
-      : base_(base), len_(len), ids_(ids), trailered_(trailered) {}
+            const std::uint64_t* /*live_gen*/)
+      : base_(base), len_(len), ids_(ids) {}
 #endif
   const std::uint64_t* base_;
   std::uint32_t len_;
   const NodeId* ids_;
-  bool trailered_;
 #ifndef NDEBUG
   const std::uint64_t* live_gen_;  // &Network::inbox_gen_
   std::uint64_t gen_;              // generation at creation
@@ -508,15 +509,16 @@ class Network {
   /// Number of distinct IDs node `s` currently knows.
   std::size_t knowledge_size(Slot s) const { return know_[s].size(n_); }
   /// The slot of `id` if node `s` verifiably knows that ID, else kNoSlot.
-  /// One-entry (ID, slot) cache first — monotone knowledge keeps it valid
-  /// forever — then the IdMap + membership probe.
+  /// Two-entry (ID, slot) cache first — monotone knowledge keeps it valid
+  /// forever — then the IdMap + membership probe, whose success refills
+  /// the send-side entry.
   Slot known_slot_of(Slot s, NodeId id) const {
-    if (id == kNoNode) return kNoSlot;
     const Knowledge& k = know_[s];
-    if (k.hot_id_is(id)) return k.hot_slot();
-    const Slot t = id_map_.find(id);
+    const Slot c = k.cached_slot(id);  // kNoNode always misses
+    if (c != kNoSlot) return c;
+    const Slot t = id_map_.find(id);  // kNoNode resolves to kNoSlot
     if (t == kNoSlot || !(k.knows_all() || k.knows_slot(t))) return kNoSlot;
-    k.set_hot(id, t);
+    k.set_sent(id, t);
     return t;
   }
   bool node_knows(Slot s, NodeId id) const {
@@ -556,7 +558,7 @@ class Network {
   /// order and place only the records whose destination slot falls in
   /// [dst_lo, dst_hi) — each destination's cursors and inbox slice have
   /// exactly one writer, and per-destination arrival order is preserved.
-  void place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered);
+  void place_dest_range(Slot dst_lo, Slot dst_hi);
   /// Overflow bitmap fill for one destination: the partial Fisher-Yates
   /// subset draw from `rng` (caller positions it — the shared delivery
   /// stream serially, or a per-destination snapshot on the parallel path).
@@ -571,7 +573,7 @@ class Network {
     const std::uint32_t len = scr_->inbox_len[s];
     const std::uint64_t* base =
         len != 0 ? scr_->inbox_words.get() + scr_->inbox_lo[s] : nullptr;
-    return InboxView(base, len, ids_.data(), !is_clique(), &inbox_gen_);
+    return InboxView(base, len, ids_.data(), &inbox_gen_);
   }
   /// Cold path: re-runs the send checks in their documented order to throw
   /// the exact diagnostic; called only when the inlined fast checks failed.
@@ -716,15 +718,16 @@ inline void Ctx::send(NodeId to, Message m) {
   // Forwarded-ID trailer: the KT0 check below must resolve every ID word's
   // slot anyway, so on learning networks the record carries those slots
   // after the payload and the delivery-side learn pass never touches the
-  // IdMap. Clique networks skip learning, so their records stay trailerless
-  // (wire::record_words mirrors this split).
+  // IdMap. Clique networks skip learning, so their records stay trailerless.
+  // Either way the header carries the record's length, so no reader ever
+  // re-derives the trailer size.
   const std::size_t nw = m.size;
   const bool trailered = m.id_mask != 0 && !net_.is_clique();
   const std::size_t tw = trailered ? wire::trailer_words(m.id_mask) : 0;
   const std::size_t rec_len = wire::kHeaderWords + nw + tw;
   std::uint64_t* p = out_->append(rec_len);
   p[0] = wire::routing_word(slot_, dst);
-  p[1] = wire::header_word(m);
+  p[1] = wire::header_word(m, rec_len);
   for (std::size_t w = 0; w < nw; ++w) p[wire::kHeaderWords + w] = m.words[w];
   // Model rules 1 (sender knows destination) and 2 (send budget); see
   // Network::send_fail for the individual diagnostics.
@@ -783,7 +786,7 @@ inline void Ctx::send1(NodeId to, std::uint32_t tag, std::uint64_t word) {
   constexpr std::size_t rec_len = wire::kHeaderWords + 1;
   std::uint64_t* p = out_->append(rec_len);
   p[0] = wire::routing_word(slot_, dst);
-  p[1] = wire::header1_word(tag, /*is_id=*/false);
+  p[1] = wire::header1_word(tag, /*is_id=*/false, rec_len);
   p[2] = word;
   const Knowledge& kn = net_.know_[slot_];
   if (to == kNoNode || dst == kNoSlot ||
@@ -806,7 +809,7 @@ inline void Ctx::send1_id(NodeId to, std::uint32_t tag, NodeId id) {
   const std::size_t rec_len = wire::kHeaderWords + 1 + (trailered ? 1 : 0);
   std::uint64_t* p = out_->append(rec_len);
   p[0] = wire::routing_word(slot_, dst);
-  p[1] = wire::header1_word(tag, /*is_id=*/true);
+  p[1] = wire::header1_word(tag, /*is_id=*/true, rec_len);
   p[2] = id;
   const Knowledge& kn = net_.know_[slot_];
   if (to == kNoNode || dst == kNoSlot ||

@@ -20,16 +20,26 @@ struct Record {
   NodeId id = kNoNode;
 };
 
+/// One Batcher stage (p, k), with its power-of-two arithmetic precomputed
+/// so the per-node comparator test is masks and shifts — no division.
 struct Stage {
-  std::uint64_t p;  // merge block size parameter
-  std::uint64_t k;  // comparator stride (power of two)
+  std::uint64_t k;          // comparator stride (power of two)
+  std::uint64_t j0;         // k mod p: offset of the first lower end in a 2k run
+  std::uint64_t run_mask;   // 2k - 1, for x mod 2k
+  unsigned block_shift;     // log2(2p), for x / 2p
+  std::size_t level;        // log2(k): the skip-link level spanning k
 };
 
 /// Batcher odd-even merge-sort stage list for N = 2^levels elements.
 std::vector<Stage> batcher_stages(std::uint64_t n_pow2) {
   std::vector<Stage> stages;
-  for (std::uint64_t p = 1; p < n_pow2; p *= 2)
-    for (std::uint64_t k = p; k >= 1; k /= 2) stages.push_back({p, k});
+  for (std::uint64_t p = 1; p < n_pow2; p *= 2) {
+    for (std::uint64_t k = p; k >= 1; k /= 2) {
+      stages.push_back({k, k & (p - 1), 2 * k - 1,
+                        static_cast<unsigned>(floor_log2(p)) + 1,
+                        static_cast<std::size_t>(floor_log2(k))});
+    }
+  }
   return stages;
 }
 
@@ -38,12 +48,10 @@ std::vector<Stage> batcher_stages(std::uint64_t n_pow2) {
 /// (j+i, j+i+k) with j ≡ k mod p (mod 2k), i in [0, k), constrained to a
 /// common 2p-block.)
 bool is_lower_end(std::uint64_t x, const Stage& st, std::uint64_t n_pow2) {
-  const std::uint64_t k = st.k, p = st.p;
-  if (x + k >= n_pow2) return false;
-  const std::uint64_t r = x % (2 * k);
-  const std::uint64_t j0 = k % p;
-  if (r < j0 || r >= j0 + k) return false;
-  return (x / (2 * p)) == ((x + k) / (2 * p));
+  if (x + st.k >= n_pow2) return false;
+  const std::uint64_t r = x & st.run_mask;
+  if (r < st.j0 || r >= st.j0 + st.k) return false;
+  return (x >> st.block_shift) == ((x + st.k) >> st.block_shift);
 }
 
 // Defined below; shared tail of both sorting networks.
@@ -118,21 +126,22 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
   // histograms, and frontier bookkeeping all scale with the traffic.
   wake_members(net, path);
   for (std::size_t si = 0; si <= stages.size(); ++si) {
+    const bool drain = si == stages.size();
+    const Stage st = drain ? Stage{} : stages[si];
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
       ingest(ctx);
-      if (si == stages.size()) return;  // drain-only round
+      if (drain) return;  // drain-only round
       ctx.wake();
-      const Stage st = stages[si];
       const auto pos = static_cast<std::uint64_t>(path.pos[s]);
       NodeId partner = kNoNode;
       if (is_lower_end(pos, st, n_pow2) && pos + st.k < members) {
         pending_role[s] = 1;
-        partner = skip.fwd[static_cast<std::size_t>(floor_log2(st.k))][s];
+        partner = skip.fwd[st.level][s];
       } else if (pos >= st.k && is_lower_end(pos - st.k, st, n_pow2)) {
         pending_role[s] = 2;
-        partner = skip.bwd[static_cast<std::size_t>(floor_log2(st.k))][s];
+        partner = skip.bwd[st.level][s];
       }
       if (pending_role[s] != 0) {
         DGR_CHECK(partner != kNoNode);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 
 #include "graph/degree_sequence.h"
@@ -67,6 +68,19 @@ TEST(ImplicitDegree, DegreeAboveNMinus1Rejected) {
   const std::vector<std::uint64_t> d{5, 1, 1, 1};
   const auto result = realize_degrees_implicit(net, d);
   EXPECT_FALSE(result.realizable);
+}
+
+// UINT64_MAX must be rejected by the member-count test itself, not wrap
+// past it (`degree + 1` is 0) into a later division by delta + 1 == 0.
+TEST(ImplicitDegree, MaxDegreeRejectedInBothModes) {
+  for (const DegreeMode mode : {DegreeMode::kExact, DegreeMode::kEnvelope}) {
+    auto net = testing::make_ncc0(5, 6);
+    const std::vector<std::uint64_t> d{UINT64_MAX, 1, 1, 2, 0};
+    const auto result = realize_degrees_implicit(net, d, mode);
+    EXPECT_FALSE(result.realizable);
+  }
+  EXPECT_FALSE(graph::handshake_ok({UINT64_MAX, 1}));
+  EXPECT_FALSE(graph::erdos_gallai_graphic({UINT64_MAX, 1}));
 }
 
 struct FamilyCase {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "testing.h"
 #include "util/check.h"
@@ -72,6 +73,78 @@ TEST(Network, ForwardingUnknownIdInPayloadThrows) {
     if (ctx.slot() == head) ctx.send(succ, make_msg(1).push_id(stranger));
   }),
                CheckError);
+}
+
+// The verified-ID cache (Knowledge::cached_slot) only ever holds IDs the
+// node verifiably knows: warming both entries — the learn pass's "ID just
+// received" and the send check's "ID just forwarded" — must not open a path
+// around the KT0 check for a never-learned ID.
+TEST(Network, WarmIdCacheStillRejectsUnknownForwardedId) {
+  ncc::Config cfg;
+  cfg.seed = 11;
+  cfg.shuffle_path = false;  // slot s's path successor is slot s+1
+  ncc::Network net(10, cfg);
+  const NodeId id0 = net.id_of(0);
+  const NodeId id1 = net.id_of(1);
+  const NodeId id2 = net.id_of(2);
+  const NodeId stranger = net.id_of(7);
+  // Slot 0 forwards its own ID to slot 1 (slot 1's learned entry) and
+  // slot 1 forwards its successor's ID (slot 1's send-side entry).
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() == 0) ctx.send1_id(id1, 1, id0);
+    if (ctx.slot() == 1) ctx.send(id2, make_msg(1).push(5).push_id(id2));
+  });
+  ASSERT_TRUE(net.node_knows(1, id0));
+  ASSERT_FALSE(net.node_knows(1, stranger));
+  // Cache hits still pass: both warm IDs forward fine.
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() != 1) return;
+    ctx.send1_id(id2, 2, id0);
+    ctx.send1_id(id2, 2, id2);
+  });
+  const auto sent = net.stats().messages_sent;
+  for (int path = 0; path < 3; ++path) {
+    EXPECT_THROW(net.round([&](Ctx& ctx) {
+      if (ctx.slot() != 1) return;
+      if (path == 0) ctx.send1_id(id2, 3, stranger);
+      if (path == 1) ctx.send(id2, make_msg(3).push_id(id0).push_id(stranger));
+      if (path == 2) ctx.send(stranger, make_msg(3).push_id(id0));
+    }),
+                 CheckError)
+        << "path " << path;
+  }
+  EXPECT_EQ(net.stats().messages_sent, sent);
+  EXPECT_FALSE(net.node_knows(1, stranger));
+}
+
+// Hashed IdMap layout: IDs that share their low 32 bits (and a kNoNode
+// probe, and absent IDs with the same low bits) resolve exactly.
+TEST(IdMap, IdsSharingLow32BitsResolveToTheirSlots) {
+  std::vector<NodeId> ids;
+  for (NodeId hi = 1; hi <= 40; ++hi) {
+    ids.push_back((hi << 32) | 0x5u);
+    ids.push_back((hi << 32) | 0xABCDu);
+  }
+  ids.push_back(0x5u);
+  ncc::IdMap map;
+  map.build(ids);
+  for (std::size_t s = 0; s < ids.size(); ++s)
+    EXPECT_EQ(map.find(ids[s]), static_cast<Slot>(s)) << "id " << ids[s];
+  EXPECT_EQ(map.find(ncc::kNoNode), ncc::kNoSlot);
+  EXPECT_EQ(map.find((NodeId{41} << 32) | 0x5u), ncc::kNoSlot);
+  EXPECT_EQ(map.find(0xABCDu), ncc::kNoSlot);
+  EXPECT_EQ(map.find(~NodeId{0}), ncc::kNoSlot);
+}
+
+// Dense IdMap layout (IDs 1..n in slot order).
+TEST(IdMap, DenseLayoutRejectsOutOfRange) {
+  const std::vector<NodeId> ids = {1, 2, 3, 4};
+  ncc::IdMap map;
+  map.build(ids);
+  for (Slot s = 0; s < 4; ++s) EXPECT_EQ(map.find(s + 1), s);
+  EXPECT_EQ(map.find(ncc::kNoNode), ncc::kNoSlot);
+  EXPECT_EQ(map.find(5), ncc::kNoSlot);
+  EXPECT_EQ(map.find(~NodeId{0}), ncc::kNoSlot);
 }
 
 TEST(Network, MessageDeliveryNextRound) {

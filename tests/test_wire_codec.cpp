@@ -12,6 +12,7 @@
 // test can.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -274,6 +275,102 @@ TEST(WireCodec, TinyCapacityStrictThrowsBeforeDelivery) {
       },
       CheckError);
   EXPECT_EQ(net.stats().messages_delivered, 0u);
+}
+
+// The record length stamped in the header (wire::record_words) is the
+// stride every record walk trusts: it must equal header + payload + one
+// trailer word per ID word on learning networks, and header + payload on
+// (trailerless) clique networks. Every shape — each size 0..kMaxWords with
+// every id_mask below it — lands in one inbox, so a wrong stamp would also
+// derail the variable-stride walk over the records after it.
+void stamped_length_matches_shape(bool clique) {
+  ncc::Config cfg = codec_cfg(ncc::OverflowPolicy::kStrict, clique);
+  cfg.shuffle_path = false;  // slot 0's path successor is slot 1
+  cfg.min_capacity = 32;     // all 31 shapes fit one round's budget
+  ncc::Network net(8, cfg);
+  const NodeId self = net.id_of(0);
+  const NodeId succ = net.id_of(1);
+  struct Shape {
+    std::uint8_t size;
+    std::uint8_t mask;
+  };
+  std::vector<Shape> shapes;
+  for (std::size_t size = 0; size <= ncc::kMaxWords; ++size)
+    for (unsigned mask = 0; mask < (1u << size); ++mask)
+      shapes.push_back({static_cast<std::uint8_t>(size),
+                        static_cast<std::uint8_t>(mask)});
+  ASSERT_EQ(shapes.size(), 31u);
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() != 0) return;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      auto m = make_msg(static_cast<std::uint32_t>(i));
+      for (std::uint8_t w = 0; w < shapes[i].size; ++w) {
+        if (shapes[i].mask & (1u << w)) {
+          m.push_id(w % 2 == 0 ? self : succ);
+        } else {
+          m.push(1000 + w);
+        }
+      }
+      ctx.send(succ, m);
+    }
+  });
+  bool checked = false;
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() != 1) return;
+    checked = true;
+    ASSERT_EQ(ctx.inbox_view().size(), shapes.size());
+    std::size_t i = 0;
+    for (const auto m : ctx.inbox_view()) {
+      ASSERT_EQ(m.tag(), i);
+      const Shape sh = shapes[i++];
+      ASSERT_EQ(m.size(), sh.size);
+      ASSERT_EQ(m.id_mask(), sh.mask);
+      const std::size_t trailer =
+          clique ? 0 : static_cast<std::size_t>(std::popcount(sh.mask));
+      EXPECT_EQ(m.wire_words(), ncc::wire::kHeaderWords + sh.size + trailer)
+          << "size " << int{sh.size} << " id_mask " << int{sh.mask};
+      EXPECT_EQ(ncc::wire::trailer_words(sh.mask),
+                static_cast<std::size_t>(std::popcount(sh.mask)));
+      for (std::uint8_t w = 0; w < sh.size; ++w) {
+        if (sh.mask & (1u << w)) {
+          EXPECT_EQ(m.id_word(w), w % 2 == 0 ? self : succ);
+        } else {
+          EXPECT_EQ(m.word(w), 1000u + w);
+        }
+      }
+    }
+  });
+  ASSERT_TRUE(checked);
+}
+
+TEST(WireCodec, StampedLengthMatchesShapeLearning) {
+  stamped_length_matches_shape(/*clique=*/false);
+}
+TEST(WireCodec, StampedLengthMatchesShapeClique) {
+  stamped_length_matches_shape(/*clique=*/true);
+}
+
+// The one-word fast paths stamp the same lengths send() would.
+TEST(WireCodec, OneWordFastPathsStampLength) {
+  for (const bool clique : {false, true}) {
+    ncc::Config cfg = codec_cfg(ncc::OverflowPolicy::kStrict, clique);
+    cfg.shuffle_path = false;
+    ncc::Network net(8, cfg);
+    const NodeId succ = net.id_of(1);
+    net.round([&](Ctx& ctx) {
+      if (ctx.slot() != 0) return;
+      ctx.send1(succ, 1, 7);
+      ctx.send1_id(succ, 2, ctx.id());
+    });
+    net.round([&](Ctx& ctx) {
+      if (ctx.slot() != 1) return;
+      std::vector<std::size_t> lens;
+      for (const auto m : ctx.inbox_view()) lens.push_back(m.wire_words());
+      const std::size_t id_len = clique ? 3u : 4u;
+      EXPECT_EQ(lens, (std::vector<std::size_t>{3u, id_len}))
+          << "clique " << clique;
+    });
+  }
 }
 
 }  // namespace
